@@ -708,7 +708,6 @@ pub fn run(quick: bool) -> String {
 mod tests {
     use super::*;
     use crate::alloc_count;
-    use rbs_runtime::{TenantConfig, TenantRuntime};
 
     #[test]
     fn flood_cell_contains_the_flood_at_admission() {
@@ -832,20 +831,19 @@ mod tests {
     /// the same allocations once the staging buffers are warm.
     #[test]
     fn steering_is_alloc_free_per_packet() {
-        let mut rt = TenantRuntime::new(TenantConfig {
+        let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
             tenants: (0..8)
                 .map(|i| TenantSpec::new(format!("steer-{i}")).rate(1 << 20, 1 << 20))
                 .collect(),
             lanes: 2,
             table_size: TABLE_SIZE,
-            lane_capacity: 4 << 10,
             queue_hwm: 1 << 20,
-            ..TenantConfig::default()
+            ..TenantLaneConfig::default()
         })
         .expect("tenant runtime");
         // A NIC delivering RSS-coalesced bursts hands the runtime runs
         // of same-flow packets; `n / 64` consecutive packets per flow
-        // models that, with per-flow counts exact so every staging cell
+        // models that, with per-flow counts exact so every staging buffer
         // sees the same share in every batch.
         let runs = |n: usize| {
             use rbs_netfx::headers::ethernet::MacAddr;

@@ -29,7 +29,13 @@
 //! - [`lane`] — the run-to-completion lane engine: N ingress lanes,
 //!   each generating, processing, and recycling its own RSS slice with
 //!   no central dispatcher, stealing across lanes when idle
-//!   ([`LaneRuntime`](lane::LaneRuntime)).
+//!   ([`LaneRuntime`]).
+//! - [`tenant`] — the multi-tenant containment contract: tenant specs,
+//!   breaker policy and phases, conservation ledgers, the supervision
+//!   journal, and the final [`TenantReport`].
+//! - [`tenant_lanes`] — the engine that enforces it: Maglev steering,
+//!   admission, per-tenant breakers, warm recovery and churn on N lane
+//!   threads with priority-aware stealing ([`TenantLaneRuntime`]).
 //!
 //! With the `fault-injection` feature, a seeded
 //! [`rbs_core::FaultPlan`](rbs_core::fault::FaultPlan) can be installed
@@ -90,8 +96,8 @@ pub use stats::{RuntimeReport, WorkerSnapshot, WorkerStats};
 pub use supervisor::{BreakerState, RestartPolicy, SupervisorEvent, SupervisorEventKind};
 pub use tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, LaneOccupancy, RebuildRecord,
-    TenantChainFactory, TenantConfig, TenantError, TenantEvent, TenantEventKind, TenantLedger,
-    TenantOutcome, TenantReport, TenantRuntime, TenantSpec,
+    TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantLedger, TenantOutcome,
+    TenantReport, TenantSpec,
 };
 pub use tenant_lanes::{TenantLaneConfig, TenantLaneRuntime};
 pub use upgrade::{UpgradeError, UpgradeOutcome, UpgradePolicy};

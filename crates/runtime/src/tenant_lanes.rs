@@ -1,15 +1,12 @@
-//! Threaded tenant lanes: blast-radius containment at wall-clock scale.
-//!
-//! [`TenantRuntime`](crate::tenant::TenantRuntime) proves the containment
-//! *semantics* — breakers, admission, churn, exact ledgers — on a
-//! single-threaded logical tick clock. This module re-proves them on
-//! real CPUs: a [`TenantLaneRuntime`] places tenant domains onto N lane
-//! **threads** with a weighted placement policy, each lane tick-processes
-//! only its resident tenants with no cross-thread hand-off on the steady
-//! path, and idle lanes steal *whole tenant work items* through the same
-//! Chase–Lev deques the lane engine trades batches on — under a
-//! priority-aware policy that never steals ahead of a higher-priority
-//! tenant's queued work.
+//! Threaded tenant lanes: the engine behind the containment contract in
+//! [`crate::tenant`] — breakers, admission, churn, exact ledgers — run
+//! on real CPUs. A [`TenantLaneRuntime`] places tenant domains onto N
+//! lane **threads** with a weighted placement policy, each lane
+//! tick-processes only its resident tenants with no cross-thread
+//! hand-off on the steady path, and idle lanes steal *whole tenant work
+//! items* through the same Chase–Lev deques the lane engine trades
+//! batches on — under a priority-aware policy that never steals ahead
+//! of a higher-priority tenant's queued work.
 //!
 //! The design walks a narrow line: wall-clock parallel execution whose
 //! *accounting* is still byte-deterministic.
@@ -61,8 +58,8 @@ use rbs_sfi::{BackendKind, Domain, DomainManager};
 use crate::deque::{LaneDeque, Steal, Stealer};
 use crate::tenant::{
     default_tenant_chain, BreakerPhase, BreakerPolicy, LaneOccupancy, RebuildRecord,
-    TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantOutcome, TenantReport,
-    TenantSpec,
+    TenantChainFactory, TenantError, TenantEvent, TenantEventKind, TenantLedger, TenantOutcome,
+    TenantReport, TenantSpec,
 };
 
 /// Configuration for a [`TenantLaneRuntime`].
@@ -94,10 +91,12 @@ pub struct TenantLaneConfig {
     pub chain: Option<TenantChainFactory>,
     /// Whether idle lanes steal resident work from busy lanes.
     pub steal: bool,
-    /// Deterministic fault plan; stream = tenant index, occurrence = the
-    /// tenant's executed batch count (identical semantics to the
-    /// single-threaded runtime, *including* under stealing — the
-    /// per-tenant FIFO serializes the occurrence stream).
+    /// Deterministic fault plan. Decisions are streamed per tenant: the
+    /// plan's `stream` is the tenant index, the occurrence its executed
+    /// batch count — so a scripted crash loop targets one tenant while
+    /// background chaos salts all of them, reproducibly. This holds
+    /// under stealing too: the per-tenant FIFO serializes the
+    /// occurrence stream whichever lane runs it.
     #[cfg(feature = "fault-injection")]
     pub faults: Option<Arc<FaultPlan>>,
 }
@@ -149,7 +148,7 @@ struct TenantInner {
     open_until: u64,
     probes_left: u64,
     bucket: TickBucket,
-    ledger: crate::tenant::TenantLedger,
+    ledger: TenantLedger,
     occurrence: u64,
     faults: u64,
     respawns: u64,
@@ -555,10 +554,13 @@ impl LaneCtx {
 }
 
 /// Multi-tenant containment on real lane threads with priority-aware
-/// work stealing. Same call shape as the single-threaded reference:
-/// alternate [`offer`](TenantLaneRuntime::offer) and
-/// [`step`](TenantLaneRuntime::step), churn between ticks, then
-/// [`finish`](TenantLaneRuntime::finish).
+/// work stealing. Callers alternate [`offer`](TenantLaneRuntime::offer)
+/// (steer + admit one wave of traffic) and
+/// [`step`](TenantLaneRuntime::step) (run one tick on the lanes, then
+/// breaker timers and the snapshot cadence), churn between ticks, then
+/// [`finish`](TenantLaneRuntime::finish). Everything but the
+/// executor-side steal counters replays byte-identically for a fixed
+/// offered trace.
 pub struct TenantLaneRuntime {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<LaneSideOutcome>>,
@@ -665,7 +667,7 @@ impl TenantLaneRuntime {
                 strikes: 0,
                 open_until: 0,
                 probes_left: 0,
-                ledger: crate::tenant::TenantLedger::default(),
+                ledger: TenantLedger::default(),
                 occurrence: 0,
                 faults: 0,
                 respawns: 0,
@@ -811,13 +813,18 @@ impl TenantLaneRuntime {
     }
 
     /// A tenant's conservation ledger so far.
-    pub fn ledger(&self, idx: usize) -> crate::tenant::TenantLedger {
+    pub fn ledger(&self, idx: usize) -> TenantLedger {
         self.shared.slots[idx].lock().ledger
     }
 
     /// A tenant's epoch (times re-added).
     pub fn epoch(&self, idx: usize) -> u64 {
         self.shared.slots[idx].lock().epoch
+    }
+
+    /// Whether the tenant is currently present in the steering table.
+    pub fn is_present(&self, idx: usize) -> bool {
+        self.present[idx]
     }
 
     /// The lane a tenant is placed on.
@@ -852,8 +859,16 @@ impl TenantLaneRuntime {
     /// Steers one wave: run-batched Maglev lookup → ledger attribution →
     /// breaker gate → admission → the tenant's FIFO on its home lane,
     /// then the per-lane high-water mark. Runs on the control thread
-    /// while the lanes are parked, so it is exactly as deterministic as
-    /// the single-threaded runtime's offer.
+    /// while the lanes are parked, so a fixed offered trace always
+    /// queues the same batches.
+    ///
+    /// Steering is run-batched: consecutive packets with the same cached
+    /// flow hash resolve the Maglev table once, so a flow's packet train
+    /// costs one lookup. Together with the permanent staging buffers
+    /// this makes the warmed-up offer path alloc-free per packet (one
+    /// exact-capacity allocation per queued *batch*, never per packet) —
+    /// `steering_is_alloc_free_per_packet` in rbs-bench audits this with
+    /// the counting allocator.
     pub fn offer(&mut self, batch: PacketBatch) {
         let now = self.now;
         let mut last_hash = 0u64;
@@ -1320,6 +1335,117 @@ mod tests {
             .collect()
     }
 
+    fn two_tenants() -> TenantLaneConfig {
+        TenantLaneConfig {
+            tenants: vec![
+                TenantSpec::new("alpha").priority(2).rate(500, 1_000),
+                TenantSpec::new("beta").priority(1).rate(500, 1_000),
+            ],
+            lanes: 2,
+            table_size: 251,
+            queue_hwm: 16,
+            ..TenantLaneConfig::default()
+        }
+    }
+
+    #[test]
+    fn admission_bucket_sheds_the_overflow_exactly() {
+        let mut config = two_tenants();
+        for t in &mut config.tenants {
+            t.rate_per_tick = 10;
+            t.burst = 10;
+        }
+        let mut rt = TenantLaneRuntime::new(config).unwrap();
+        rt.offer(wave(0, 200));
+        rt.step();
+        let report = rt.finish();
+        // Each bucket starts full at 10 tokens; everything else sheds.
+        let admitted: u64 = report.tenants.iter().map(|t| t.ledger.processed).sum();
+        let shed: u64 = report.tenants.iter().map(|t| t.ledger.shed_admission).sum();
+        assert_eq!(admitted, 20);
+        assert_eq!(shed, 180);
+        assert_eq!(report.unaccounted_packets(), 0);
+    }
+
+    #[test]
+    fn removing_the_last_tenant_is_refused() {
+        let mut config = two_tenants();
+        config.tenants.truncate(1);
+        let mut rt = TenantLaneRuntime::new(config).unwrap();
+        assert!(matches!(rt.remove_tenant(0), Err(TenantError::LastTenant)));
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn fault_loop_opens_the_breaker_and_spares_the_victim() {
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut config = two_tenants();
+        // Tenant 1 (beta) panics on every executed batch.
+        config.faults = Some(Arc::new(FaultPlan::new(7).inject_window(
+            FaultSite::Operator(0),
+            FaultKind::Panic,
+            1,
+            0,
+            u64::MAX,
+        )));
+        let mut rt = TenantLaneRuntime::new(config).unwrap();
+        for round in 0..30 {
+            rt.offer(wave(round, 64));
+            rt.step();
+        }
+        assert_eq!(rt.phase(1), BreakerPhase::Open);
+        let report = rt.finish();
+        let alpha = &report.tenants[0];
+        let beta = &report.tenants[1];
+        assert_eq!(alpha.ledger.lost, 0, "victim lost packets to beta's loop");
+        assert_eq!(alpha.ledger.goodput_ppm(), 1_000_000);
+        assert!(beta.opens >= 1, "breaker never opened");
+        assert!(beta.ledger.shed_open > 0, "open breaker never shed");
+        assert_eq!(report.unaccounted_packets(), 0);
+        let _ = std::panic::take_hook();
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn half_open_probe_closes_after_a_transient_loop() {
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut config = two_tenants();
+        config.breaker.open_ticks = 4;
+        config.snapshot_every_ticks = 2;
+        // Beta runs 4 clean batches (so a snapshot is sealed), panics on
+        // the next 6 executed batches, then runs clean.
+        config.faults = Some(Arc::new(FaultPlan::new(7).inject_window(
+            FaultSite::Operator(0),
+            FaultKind::Panic,
+            1,
+            4,
+            10,
+        )));
+        let mut rt = TenantLaneRuntime::new(config).unwrap();
+        for round in 0..60 {
+            rt.offer(wave(round, 64));
+            rt.step();
+        }
+        assert_eq!(
+            rt.phase(1),
+            BreakerPhase::Running,
+            "breaker should close after clean probes"
+        );
+        let report = rt.finish();
+        let beta = &report.tenants[1];
+        assert!(beta.opens >= 1);
+        assert!(
+            report
+                .events
+                .iter()
+                .any(|e| e.kind == TenantEventKind::Closed),
+            "no close event journaled"
+        );
+        assert!(beta.warm_restores >= 1, "probe chain never warm-restored");
+        assert_eq!(report.unaccounted_packets(), 0);
+        let _ = std::panic::take_hook();
+    }
+
     #[test]
     fn threaded_run_conserves_and_places_every_tenant() {
         let mut rt = TenantLaneRuntime::new(TenantLaneConfig {
@@ -1333,10 +1459,14 @@ mod tests {
             rt.step();
         }
         let report = rt.finish();
+        assert_eq!(report.offered(), 12 * 192);
         assert_eq!(report.unaccounted_packets(), 0);
         assert_eq!(report.priority_inversions(), 0);
         for t in &report.tenants {
             assert_eq!(t.ledger.unaccounted(), 0, "{} leaks packets", t.name);
+            assert!(t.ledger.offered > 0, "{} starved by steering", t.name);
+            assert_eq!(t.ledger.lost, 0);
+            assert_eq!(t.final_phase, BreakerPhase::Running);
             assert!(t.ledger.stolen <= t.ledger.processed);
         }
         // Placement partitions the population across the lanes.
@@ -1436,13 +1566,18 @@ mod tests {
             rt.step();
         }
         let out = rt.remove_tenant(5).unwrap();
+        assert!(out >= 251 / 7, "removal must move the victim's share");
+        assert!(!rt.is_present(5));
         for round in 4..8 {
             rt.offer(wave(round, 96));
             rt.step();
         }
         let back = rt.add_tenant(5).unwrap();
         assert_eq!(out, back, "same-name re-add must reverse the remap");
+        assert!(rt.is_present(5));
         assert_eq!(rt.epoch(5), 1);
+        assert_eq!(rt.state_items(5), 0, "fresh epoch must start stateless");
+        assert_eq!(rt.snapshots_taken(5), 0);
         for round in 8..12 {
             rt.offer(wave(round, 96));
             rt.step();
