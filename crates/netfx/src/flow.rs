@@ -5,6 +5,7 @@
 //! runs so experiments are reproducible, cheap enough for the data path.
 
 use crate::headers::ipv4::IpProto;
+use crate::headers::{TcpHdr, UdpHdr, ETHERNET_HDR_LEN};
 use crate::packet::{Packet, PacketError};
 use rbs_checkpoint::{CheckpointCtx, Checkpointable, RestoreCtx, Snapshot, SnapshotError};
 use std::net::Ipv4Addr;
@@ -27,34 +28,35 @@ pub struct FiveTuple {
 impl FiveTuple {
     /// Extracts the 5-tuple from a TCP or UDP packet.
     ///
-    /// Fails with [`PacketError::WrongProtocol`] for other protocols.
+    /// Ethernet and IPv4 are validated once; the transport header is
+    /// parsed at the offset the IPv4 header gives. Fails with
+    /// [`PacketError::WrongProtocol`] for other protocols.
     pub fn of(packet: &Packet) -> Result<FiveTuple, PacketError> {
         let ip = packet.ipv4()?;
-        match ip.protocol() {
+        // In bounds: the IPv4 view only parses when its header fits.
+        let l4 = &packet.as_slice()[ETHERNET_HDR_LEN + ip.header_len()..];
+        let (src_port, dst_port, proto) = match ip.protocol() {
             IpProto::Udp => {
-                let u = packet.udp()?;
-                Ok(FiveTuple {
-                    src_ip: ip.src(),
-                    dst_ip: ip.dst(),
-                    src_port: u.src_port(),
-                    dst_port: u.dst_port(),
-                    proto: IpProto::Udp,
-                })
+                let u = UdpHdr::parse(l4)?;
+                (u.src_port(), u.dst_port(), IpProto::Udp)
             }
             IpProto::Tcp => {
-                let t = packet.tcp()?;
-                Ok(FiveTuple {
-                    src_ip: ip.src(),
-                    dst_ip: ip.dst(),
-                    src_port: t.src_port(),
-                    dst_port: t.dst_port(),
-                    proto: IpProto::Tcp,
+                let t = TcpHdr::parse(l4)?;
+                (t.src_port(), t.dst_port(), IpProto::Tcp)
+            }
+            _ => {
+                return Err(PacketError::WrongProtocol {
+                    expected: "tcp-or-udp",
                 })
             }
-            _ => Err(PacketError::WrongProtocol {
-                expected: "tcp-or-udp",
-            }),
-        }
+        };
+        Ok(FiveTuple {
+            src_ip: ip.src(),
+            dst_ip: ip.dst(),
+            src_port,
+            dst_port,
+            proto,
+        })
     }
 
     /// The reverse direction of this flow.
@@ -207,7 +209,7 @@ pub fn stable_hash_bytes(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::headers::ethernet::MacAddr;
+    use crate::headers::ethernet::{EtherType, MacAddr};
     use crate::headers::tcp::TcpFlags;
 
     fn tuple(a: u8, b: u8, sp: u16, dp: u16) -> FiveTuple {
@@ -323,6 +325,104 @@ mod tests {
         let mut p = Packet::from_slice(&[0xDE, 0xAD, 0xBE, 0xEF]);
         let h = p.flow_hash();
         assert_eq!(h, stable_hash_bytes(&[0xDE, 0xAD, 0xBE, 0xEF]));
+    }
+
+    #[test]
+    fn extraction_errors_match_the_header_views() {
+        fn udp() -> Packet {
+            Packet::build_udp(
+                MacAddr::ZERO,
+                MacAddr::ZERO,
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(10, 0, 0, 2),
+                1,
+                2,
+                8,
+            )
+        }
+        let mut cases = Vec::new();
+
+        let mut arp = udp();
+        arp.ethernet_mut().unwrap().set_ethertype(EtherType::Arp);
+        cases.push((arp, PacketError::WrongProtocol { expected: "ipv4" }));
+
+        let truncated = Packet::from_slice(&udp().as_slice()[..ETHERNET_HDR_LEN + 10]);
+        cases.push((
+            truncated,
+            PacketError::Truncated {
+                header: "ipv4",
+                needed: 20,
+                have: 10,
+            },
+        ));
+
+        let mut bad_ihl = udp();
+        bad_ihl.as_mut_slice()[ETHERNET_HDR_LEN] = 0x43;
+        cases.push((
+            bad_ihl,
+            PacketError::BadField {
+                header: "ipv4",
+                field: "ihl",
+                value: 3,
+            },
+        ));
+
+        let mut icmp = udp();
+        icmp.ipv4_mut().unwrap().set_protocol(IpProto::Icmp);
+        cases.push((
+            icmp,
+            PacketError::WrongProtocol {
+                expected: "tcp-or-udp",
+            },
+        ));
+
+        let short_udp = Packet::from_slice(&udp().as_slice()[..ETHERNET_HDR_LEN + 20 + 4]);
+        let udp_err = short_udp.udp().unwrap_err();
+        assert!(matches!(
+            udp_err,
+            PacketError::Truncated { header: "udp", .. }
+        ));
+        cases.push((short_udp, udp_err));
+
+        // Extraction through the layered header views, which re-validate
+        // Ethernet and IPv4 for the transport header.
+        fn layered(p: &Packet) -> Result<FiveTuple, PacketError> {
+            let ip = p.ipv4()?;
+            let (src_port, dst_port) = match ip.protocol() {
+                IpProto::Udp => (p.udp()?.src_port(), p.udp()?.dst_port()),
+                IpProto::Tcp => (p.tcp()?.src_port(), p.tcp()?.dst_port()),
+                _ => {
+                    return Err(PacketError::WrongProtocol {
+                        expected: "tcp-or-udp",
+                    })
+                }
+            };
+            Ok(FiveTuple {
+                src_ip: ip.src(),
+                dst_ip: ip.dst(),
+                src_port,
+                dst_port,
+                proto: ip.protocol(),
+            })
+        }
+        for (packet, want) in &cases {
+            assert_eq!(FiveTuple::of(packet), Err(*want));
+            assert_eq!(layered(packet), Err(*want));
+        }
+        let tcp = Packet::build_tcp(
+            MacAddr::ZERO,
+            MacAddr::ZERO,
+            Ipv4Addr::new(9, 9, 9, 9),
+            Ipv4Addr::new(8, 8, 8, 8),
+            443,
+            5,
+            TcpFlags(TcpFlags::ACK),
+            0,
+        );
+        for packet in [udp(), tcp] {
+            assert_eq!(FiveTuple::of(&packet), layered(&packet));
+            assert!(FiveTuple::of(&packet).is_ok());
+        }
     }
 
     #[test]
