@@ -8,9 +8,15 @@
 ///
 /// Use [`Checksum::push`] for each region (header, pseudo-header,
 /// payload), then [`Checksum::finish`] for the final inverted value.
+///
+/// The running sum is a plain integer sum of the words, carries folded
+/// only in `finish`, so a partial sum can be copied and completed later
+/// with the remaining words in any order. A `u64` holds 2^48 maximal
+/// words before it could wrap, far past any region this crate sums; a
+/// `u32` would wrap after 128 KiB of `0xFF` bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
     /// True when an odd byte is pending pairing with the next region's
     /// first byte (regions may have odd lengths, e.g. a payload).
     pending: Option<u8>,
@@ -53,7 +59,7 @@ impl Checksum {
     }
 
     fn add_word(&mut self, word: u16) {
-        self.sum += u32::from(word);
+        self.sum += u64::from(word);
     }
 
     /// Folds the carries and returns the inverted checksum.
@@ -147,6 +153,32 @@ mod tests {
         c.push(&[]);
         c.push(&[0xCD]);
         assert_eq!(c.finish(), !0xABCD);
+    }
+
+    /// Folds the region word by word, carrying after every addition.
+    fn reference_fold(bytes: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        for pair in bytes.chunks(2) {
+            let word = u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
+            sum += u32::from(word);
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn large_regions_do_not_overflow_the_sum() {
+        // 0xFFFF words wrapped a 32-bit accumulator after 128 KiB.
+        let ones = vec![0xFFu8; 140_000];
+        assert_eq!(checksum(&ones), reference_fold(&ones));
+        let region: Vec<u8> = (0..1 << 20).map(|i: u32| 0xFF ^ (i % 7) as u8).collect();
+        assert_eq!(checksum(&region), reference_fold(&region));
+        for split in [1usize, 70_001, 1 << 19, (1 << 20) - 1] {
+            let mut c = Checksum::new();
+            c.push(&region[..split]);
+            c.push(&region[split..]);
+            assert_eq!(c.finish(), reference_fold(&region), "split at {split}");
+        }
     }
 
     #[test]

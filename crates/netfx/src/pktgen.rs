@@ -8,16 +8,32 @@
 //! fully deterministic so experiments are reproducible run-to-run.
 
 use crate::batch::PacketBatch;
+use crate::checksum::Checksum;
 use crate::flow::FiveTuple;
 use crate::headers::ethernet::MacAddr;
-use crate::headers::ipv4::IpProto;
-use crate::headers::tcp::TcpFlags;
+use crate::headers::ipv4::{self, IpProto, IPV4_MIN_HDR_LEN};
+use crate::headers::tcp::{TcpFlags, TCP_MIN_HDR_LEN};
+use crate::headers::udp::UDP_HDR_LEN;
+use crate::headers::ETHERNET_HDR_LEN;
 use crate::packet::Packet;
 use crate::pool::PacketPool;
 use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
+
+/// Every generated flow targets `VIP:DST_PORT` (a TEST-NET-1 address).
+const VIP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+const DST_PORT: u16 = 80;
+const SRC_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
+const DST_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 2]);
+
+/// Frame offsets of the fields a [`FrameTemplate`] patches. The source
+/// port is the first field of both the TCP and the UDP header.
+const IP_OFF: usize = ETHERNET_HDR_LEN;
+const IP_CSUM: usize = IP_OFF + 10;
+const IP_SRC: usize = IP_OFF + 12;
+const L4_OFF: usize = IP_OFF + IPV4_MIN_HDR_LEN;
 
 /// How flow popularity is distributed across the flow population.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,13 +72,133 @@ impl Default for TrafficConfig {
     }
 }
 
+/// A generator's frame with the two per-flow fields — source IP and
+/// source port — left out, and the checksums over everything else.
+///
+/// It is cut from a frame built by the reference builder
+/// ([`Packet::build_udp`] / [`Packet::build_tcp`]) for source
+/// `0.0.0.0:0`, so it cannot drift from them. The payload is all zero
+/// bytes, and a zero byte adds nothing to a one's-complement sum, so the
+/// partial sums over the headers (and the pseudo-header) are the whole
+/// sums once the source fields are added: a frame costs a header copy,
+/// a zero fill and a few words of checksum arithmetic, whatever its
+/// payload length.
+#[derive(Debug)]
+struct FrameTemplate {
+    /// Ethernet, IPv4 and L4 headers; the source fields and both
+    /// checksum fields are zero.
+    header: Vec<u8>,
+    /// Whole frame length (header plus zero payload).
+    frame_len: usize,
+    /// Wire protocol: TCP, or UDP for anything else.
+    proto: IpProto,
+    /// Frame offset of the L4 checksum field.
+    l4_csum: usize,
+    /// Sum over the IPv4 header, source address excluded.
+    ip_sum: Checksum,
+    /// Sum over the pseudo-header and the L4 header, source address and
+    /// port excluded.
+    l4_sum: Checksum,
+}
+
+impl FrameTemplate {
+    fn new(proto: IpProto, payload_len: usize) -> Self {
+        let none = Ipv4Addr::UNSPECIFIED;
+        let reference = reference_frame(proto, none, 0, payload_len);
+        let (l4_hdr_len, l4_csum) = match proto {
+            IpProto::Tcp => (TCP_MIN_HDR_LEN, L4_OFF + 16),
+            _ => (UDP_HDR_LEN, L4_OFF + 6),
+        };
+        let mut header = reference.as_slice()[..L4_OFF + l4_hdr_len].to_vec();
+        header[IP_CSUM..IP_CSUM + 2].fill(0);
+        header[l4_csum..l4_csum + 2].fill(0);
+        let mut ip_sum = Checksum::new();
+        ip_sum.push(&header[IP_OFF..L4_OFF]);
+        let l4_len = u16::try_from(reference.len() - L4_OFF).expect("L4 length fits u16");
+        let mut l4_sum = ipv4::pseudo_header_checksum(none, VIP, proto, l4_len);
+        l4_sum.push(&header[L4_OFF..]);
+        Self {
+            header,
+            frame_len: reference.len(),
+            proto,
+            l4_csum,
+            ip_sum,
+            l4_sum,
+        }
+    }
+
+    /// Writes the frame from `src:sport` into `buf`; the bytes equal the
+    /// reference builder's, and so does the allocation (one, and only if
+    /// `buf` is too small).
+    fn write(&self, mut buf: BytesMut, src: Ipv4Addr, sport: u16) -> Packet {
+        buf.clear();
+        buf.resize(self.frame_len, 0);
+        buf[..self.header.len()].copy_from_slice(&self.header);
+        let src = src.octets();
+        buf[IP_SRC..IP_SRC + 4].copy_from_slice(&src);
+        buf[L4_OFF..L4_OFF + 2].copy_from_slice(&sport.to_be_bytes());
+        let mut ip_sum = self.ip_sum;
+        ip_sum.push(&src);
+        buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&ip_sum.finish().to_be_bytes());
+        let mut l4_sum = self.l4_sum;
+        l4_sum.push(&src);
+        l4_sum.push_word(sport);
+        let mut l4 = l4_sum.finish();
+        if l4 == 0 && self.proto == IpProto::Udp {
+            l4 = 0xFFFF; // RFC 768: zero means "no checksum"
+        }
+        buf[self.l4_csum..self.l4_csum + 2].copy_from_slice(&l4.to_be_bytes());
+        Packet::from_bytes(buf)
+    }
+}
+
+/// The frame the reference builder makes for flow `src:sport` — what
+/// every generated frame must equal.
+fn reference_frame(proto: IpProto, src: Ipv4Addr, sport: u16, payload_len: usize) -> Packet {
+    match proto {
+        IpProto::Tcp => Packet::build_tcp(
+            SRC_MAC,
+            DST_MAC,
+            src,
+            VIP,
+            sport,
+            DST_PORT,
+            TcpFlags(TcpFlags::ACK),
+            payload_len,
+        ),
+        _ => Packet::build_udp(SRC_MAC, DST_MAC, src, VIP, sport, DST_PORT, payload_len),
+    }
+}
+
+/// The slice index a Zipf draw `u` lands on: the first index whose CDF
+/// value reaches `u`, clamped to the last index — exactly
+/// `cdf.partition_point(|&c| c < u).min(cdf.len() - 1)`.
+///
+/// Zipf draws cluster at the head of the CDF, so this gallops from the
+/// head (probing indices 1, 3, 7, …) and binary-searches only inside the
+/// bracket the probes find: O(log rank) instead of O(log flows).
+///
+/// `cdf` must be non-empty and non-decreasing.
+fn zipf_index(cdf: &[f64], u: f64) -> usize {
+    // Every index below `lo` holds a value below `u`.
+    let mut lo = 0;
+    let mut probe = 1;
+    while probe < cdf.len() && cdf[probe] < u {
+        lo = probe + 1;
+        probe = 2 * probe + 1;
+    }
+    let hi = probe.min(cdf.len());
+    (lo + cdf[lo..hi].partition_point(|&c| c < u)).min(cdf.len() - 1)
+}
+
 /// A deterministic synthetic packet source.
 #[derive(Debug)]
 pub struct PacketGen {
     config: TrafficConfig,
     rng: StdRng,
-    /// Pre-materialized flow endpoints, indexed by flow id.
-    endpoints: Vec<(Ipv4Addr, Ipv4Addr, u16, u16)>,
+    /// Pre-materialized flow sources `(address, port)`, indexed by flow
+    /// id; every flow targets `VIP:DST_PORT`.
+    endpoints: Vec<(Ipv4Addr, u16)>,
     /// Cumulative probability table for Zipf sampling (empty for uniform).
     zipf_cdf: Vec<f64>,
     /// Flow ids this generator draws from. Equal to `0..flows` for a
@@ -72,6 +208,7 @@ pub struct PacketGen {
     /// This generator's probability mass within the whole mix (1.0 for
     /// a whole-mix generator).
     share: f64,
+    template: FrameTemplate,
     generated: u64,
 }
 
@@ -126,28 +263,12 @@ impl PacketGen {
             .collect();
         let weights = Self::weights_for(&config);
         // For the whole mix the mass is exactly 1.0 by definition; pin
-        // it so renormalization below is arithmetic-identical to the
+        // it so renormalization is arithmetic-identical to the
         // pre-slice generator (byte-stable streams stay byte-stable).
         let share: f64 = if lanes == 1 {
             1.0
         } else {
             flow_ids.iter().map(|&i| weights[i]).sum()
-        };
-        let zipf_cdf = match config.distribution {
-            FlowDistribution::Uniform => Vec::new(),
-            FlowDistribution::Zipf(_) => {
-                let mut cdf: Vec<f64> = Vec::with_capacity(flow_ids.len());
-                let mut acc = 0.0;
-                for &i in &flow_ids {
-                    acc += weights[i] / share.max(f64::MIN_POSITIVE);
-                    cdf.push(acc);
-                }
-                // Guard against floating-point shortfall at the end.
-                if let Some(last) = cdf.last_mut() {
-                    *last = 1.0;
-                }
-                cdf
-            }
         };
         let rng = if lanes == 1 {
             // Whole-mix: keep drawing from the endpoint rng so the
@@ -158,15 +279,7 @@ impl PacketGen {
                 config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1),
             )
         };
-        Self {
-            config,
-            rng,
-            endpoints,
-            zipf_cdf,
-            flow_ids,
-            share,
-            generated: 0,
-        }
+        Self::assemble(config, rng, endpoints, flow_ids, &weights, share)
     }
 
     /// Creates a generator restricted to the flows `keep` accepts — the
@@ -199,6 +312,22 @@ impl PacketGen {
             .collect();
         let weights = Self::weights_for(&config);
         let share: f64 = flow_ids.iter().map(|&i| weights[i]).sum();
+        let rng = StdRng::seed_from_u64(
+            config.seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(stream_salt.wrapping_add(1)),
+        );
+        Self::assemble(config, rng, endpoints, flow_ids, &weights, share)
+    }
+
+    /// Finishes a constructor: renormalizes the kept flows' weights into
+    /// the Zipf CDF and cuts the frame template.
+    fn assemble(
+        config: TrafficConfig,
+        rng: StdRng,
+        endpoints: Vec<(Ipv4Addr, u16)>,
+        flow_ids: Vec<usize>,
+        weights: &[f64],
+        share: f64,
+    ) -> Self {
         let zipf_cdf = match config.distribution {
             FlowDistribution::Uniform => Vec::new(),
             FlowDistribution::Zipf(_) => {
@@ -208,15 +337,14 @@ impl PacketGen {
                     acc += weights[i] / share.max(f64::MIN_POSITIVE);
                     cdf.push(acc);
                 }
+                // Guard against floating-point shortfall at the end.
                 if let Some(last) = cdf.last_mut() {
                     *last = 1.0;
                 }
                 cdf
             }
         };
-        let rng = StdRng::seed_from_u64(
-            config.seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(stream_salt.wrapping_add(1)),
-        );
+        let template = FrameTemplate::new(Self::wire_proto(&config), config.payload_len);
         Self {
             config,
             rng,
@@ -224,6 +352,7 @@ impl PacketGen {
             zipf_cdf,
             flow_ids,
             share,
+            template,
             generated: 0,
         }
     }
@@ -233,17 +362,12 @@ impl PacketGen {
     /// no matter how the flows are then filtered. Returns the RNG in
     /// its post-materialization state (the whole-mix generator keeps
     /// drawing from it).
-    fn materialize_endpoints(
-        config: &TrafficConfig,
-    ) -> (StdRng, Vec<(Ipv4Addr, Ipv4Addr, u16, u16)>) {
+    fn materialize_endpoints(config: &TrafficConfig) -> (StdRng, Vec<(Ipv4Addr, u16)>) {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let endpoints = (0..config.flows)
             .map(|i| {
                 let src = Ipv4Addr::from(0x0A00_0000 | (i as u32 & 0x00FF_FFFF));
-                let dst = Ipv4Addr::new(192, 0, 2, 1); // the VIP, TEST-NET-1
-                let sport = rng.gen_range(1024..=u16::MAX);
-                let dport = 80;
-                (src, dst, sport, dport)
+                (src, rng.gen_range(1024..=u16::MAX))
             })
             .collect();
         (rng, endpoints)
@@ -258,17 +382,13 @@ impl PacketGen {
     }
 
     /// The five-tuple of flow `i`.
-    fn tuple_of(
-        endpoints: &[(Ipv4Addr, Ipv4Addr, u16, u16)],
-        i: usize,
-        proto: IpProto,
-    ) -> FiveTuple {
-        let (src, dst, sport, dport) = endpoints[i];
+    fn tuple_of(endpoints: &[(Ipv4Addr, u16)], i: usize, proto: IpProto) -> FiveTuple {
+        let (src, sport) = endpoints[i];
         FiveTuple {
             src_ip: src,
-            dst_ip: dst,
+            dst_ip: VIP,
             src_port: sport,
-            dst_port: dport,
+            dst_port: DST_PORT,
             proto,
         }
     }
@@ -306,12 +426,7 @@ impl PacketGen {
             }
             FlowDistribution::Zipf(_) => {
                 let u: f64 = self.rng.gen();
-                // First slice index whose CDF value reaches `u`.
-                let k = self
-                    .zipf_cdf
-                    .partition_point(|&c| c < u)
-                    .min(self.flow_ids.len() - 1);
-                self.flow_ids[k]
+                self.flow_ids[zipf_index(&self.zipf_cdf, u)]
             }
         }
     }
@@ -337,50 +452,17 @@ impl PacketGen {
     /// drawn from a [`PacketPool`]).
     ///
     /// The frame bytes are identical to [`next_packet`](Self::next_packet)
-    /// for the same generator state; only the buffer's provenance differs.
+    /// for the same generator state, and to what the reference builder
+    /// ([`Packet::build_udp`] / [`Packet::build_tcp`]) makes for the drawn
+    /// flow; only the buffer's provenance differs.
     /// The generator knows the flow endpoints it just wrote, so it stamps
     /// the flow hash on the packet for free — the dispatcher never has to
     /// re-parse the headers it already trusts.
     pub fn next_packet_into(&mut self, buf: BytesMut) -> Packet {
         let flow = self.next_flow_id();
-        let (src, dst, sport, dport) = self.endpoints[flow];
         self.generated += 1;
-        let (mut packet, proto) = match self.config.proto {
-            IpProto::Tcp => (
-                Packet::build_tcp_into(
-                    buf,
-                    MacAddr([2, 0, 0, 0, 0, 1]),
-                    MacAddr([2, 0, 0, 0, 0, 2]),
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    TcpFlags(TcpFlags::ACK),
-                    self.config.payload_len,
-                ),
-                IpProto::Tcp,
-            ),
-            _ => (
-                Packet::build_udp_into(
-                    buf,
-                    MacAddr([2, 0, 0, 0, 0, 1]),
-                    MacAddr([2, 0, 0, 0, 0, 2]),
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    self.config.payload_len,
-                ),
-                IpProto::Udp,
-            ),
-        };
-        let tuple = FiveTuple {
-            src_ip: src,
-            dst_ip: dst,
-            src_port: sport,
-            dst_port: dport,
-            proto,
-        };
+        let tuple = Self::tuple_of(&self.endpoints, flow, self.template.proto);
+        let mut packet = self.template.write(buf, tuple.src_ip, tuple.src_port);
         packet.set_cached_flow_hash(tuple.stable_hash());
         packet
     }
@@ -421,7 +503,106 @@ impl PacketGen {
 mod tests {
     use super::*;
     use crate::flow::FiveTuple;
+    use proptest::prelude::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn template_frames_equal_the_reference_builder() {
+        for proto in [IpProto::Udp, IpProto::Tcp] {
+            for payload_len in [0, 1, 2, 17, 18, 255, 256, 1400] {
+                let mut g = PacketGen::new(TrafficConfig {
+                    flows: 512,
+                    proto,
+                    payload_len,
+                    ..Default::default()
+                });
+                // A recycled buffer holds stale bytes and may be longer
+                // than the frame; none of that may leak through.
+                let mut buf = BytesMut::from(&[0xA5u8; 2048][..]);
+                for _ in 0..300 {
+                    let p = g.next_packet_into(buf);
+                    let t = FiveTuple::of(&p).unwrap();
+                    let want = reference_frame(proto, t.src_ip, t.src_port, payload_len);
+                    assert_eq!(p.as_slice(), want.as_slice(), "{proto:?}/{payload_len}");
+                    buf = p.into_bytes();
+                    buf.iter_mut().for_each(|b| *b = 0xA5);
+                }
+                // A fresh buffer is allocated once, at the reference's size.
+                let p = g.next_packet();
+                let t = FiveTuple::of(&p).unwrap();
+                let want = reference_frame(proto, t.src_ip, t.src_port, payload_len);
+                assert_eq!(p.into_bytes().capacity(), want.into_bytes().capacity());
+            }
+        }
+    }
+
+    #[test]
+    fn template_checksums_match_on_every_source_port() {
+        // Sweeping the source port walks the L4 sum through every value,
+        // including the one that folds to zero, which UDP must send as
+        // 0xFFFF and TCP sends as is.
+        let src = Ipv4Addr::new(10, 1, 2, 3);
+        for proto in [IpProto::Udp, IpProto::Tcp] {
+            let template = FrameTemplate::new(proto, 1);
+            let mut buf = BytesMut::new();
+            for sport in 0..=u16::MAX {
+                let p = template.write(buf, src, sport);
+                let want = reference_frame(proto, src, sport, 1);
+                assert_eq!(p.as_slice(), want.as_slice(), "{proto:?} port {sport}");
+                buf = p.into_bytes();
+            }
+        }
+    }
+
+    /// A uniform draw from `[0, 1)` at full `f64` resolution.
+    fn unit() -> impl Strategy<Value = f64> {
+        (0..1u64 << 53).prop_map(|k| k as f64 / (1u64 << 53) as f64)
+    }
+
+    /// A non-decreasing CDF of 1..=40 entries (flat runs included),
+    /// optionally pinned to end at exactly 1.0 as the generator's are.
+    fn cdf() -> impl Strategy<Value = Vec<f64>> {
+        (
+            proptest::collection::vec(prop_oneof![Just(0.0), unit()], 1..40),
+            any::<bool>(),
+        )
+            .prop_map(|(steps, pin_last)| {
+                let mut acc = 0.0;
+                let mut cdf: Vec<f64> = steps
+                    .into_iter()
+                    .map(|step| {
+                        acc += step;
+                        acc
+                    })
+                    .collect();
+                if pin_last {
+                    let total = acc.max(f64::MIN_POSITIVE);
+                    cdf.iter_mut().for_each(|c| *c /= total);
+                    *cdf.last_mut().unwrap() = 1.0;
+                }
+                cdf
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn galloping_draw_equals_full_partition_point(
+            cdf in cdf(),
+            pick in any::<usize>(),
+            free in unit(),
+            which in 0..4u8,
+        ) {
+            let u = match which {
+                0 => 0.0,
+                1 => cdf[pick % cdf.len()],
+                2 => 1.0 - f64::EPSILON / 2.0, // the largest f64 below 1.0
+                _ => free,
+            };
+            let want = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
+            prop_assert_eq!(zipf_index(&cdf, u), want);
+        }
+    }
 
     #[test]
     fn deterministic_given_seed() {
